@@ -162,24 +162,26 @@ func readSummary(path string) (*Summary, error) {
 }
 
 // compareSummaries prints, for every benchmark name present in both
-// snapshots, each shared metric side by side with the relative change
-// (negative = the candidate improved). It returns the number of shared
-// benchmarks plus — when the corresponding gate is > 0 — the names whose
+// snapshots (matched modulo the GOMAXPROCS suffix, see benchKey), each
+// shared metric side by side with the relative change (negative = the
+// candidate improved). It returns the number of shared benchmarks plus
+// — when the corresponding gate is > 0 — the names whose
 // ns/op (failOver) or allocs/op (failAllocsOver) regressed past that
 // percentage; names unique to one side are listed at the end so a
 // renamed benchmark is not mistaken for a regression-free run.
 func compareSummaries(w io.Writer, base, cand *Summary, failOver, failAllocsOver float64) (int, []string, []string) {
 	old := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		old[b.Name] = b
+		old[benchKey(b.Name)] = b
 	}
 	fmt.Fprintf(w, "baseline %s vs candidate %s\n", base.Date, cand.Date)
 	shared := 0
 	var onlyNew, regressed, allocRegressed []string
 	seen := map[string]bool{}
 	for _, nb := range cand.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := old[nb.Name]
+		key := benchKey(nb.Name)
+		seen[key] = true
+		ob, ok := old[key]
 		if !ok {
 			onlyNew = append(onlyNew, nb.Name)
 			continue
@@ -202,7 +204,7 @@ func compareSummaries(w io.Writer, base, cand *Summary, failOver, failAllocsOver
 	}
 	var onlyOld []string
 	for _, ob := range base.Benchmarks {
-		if !seen[ob.Name] {
+		if !seen[benchKey(ob.Name)] {
 			onlyOld = append(onlyOld, ob.Name)
 		}
 	}
@@ -213,6 +215,18 @@ func compareSummaries(w io.Writer, base, cand *Summary, failOver, failAllocsOver
 		fmt.Fprintf(w, "only in candidate: %s\n", name)
 	}
 	return shared, regressed, allocRegressed
+}
+
+// benchKey strips the trailing -N GOMAXPROCS suffix go test appends when
+// GOMAXPROCS > 1, as benchstat does, so snapshots taken at different core
+// counts still match by name ("BenchmarkX-2" and "BenchmarkX" are one
+// benchmark).
+func benchKey(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 || strings.TrimRight(name[i+1:], "0123456789") != "" {
+		return name
+	}
+	return name[:i]
 }
 
 // sharedUnits returns the metric units both lines report, ns/op first

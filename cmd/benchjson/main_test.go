@@ -275,6 +275,45 @@ func TestFailAllocsOverGate(t *testing.T) {
 	}
 }
 
+// TestCompareIgnoresProcsSuffix: go test appends -N to every benchmark
+// name when GOMAXPROCS > 1, and the archived snapshots were taken without
+// it, so -compare must match "BenchmarkX" against "BenchmarkX-2" (as
+// benchstat does) — and still gate the pair.
+func TestCompareIgnoresProcsSuffix(t *testing.T) {
+	for name, want := range map[string]string{
+		"BenchmarkX-2":                            "BenchmarkX",
+		"BenchmarkX":                              "BenchmarkX",
+		"BenchmarkR/records=10000-16":             "BenchmarkR/records=10000",
+		"BenchmarkRegistryOverhead/ingest-stream": "BenchmarkRegistryOverhead/ingest-stream",
+		"BenchmarkX-":                             "BenchmarkX-",
+	} {
+		if got := benchKey(name); got != want {
+			t.Errorf("benchKey(%q) = %q, want %q", name, got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	base := dir + "/base.json"
+	if err := os.WriteFile(base, []byte(
+		`{"date":"d1","benchmarks":[{"name":"BenchmarkX","ns_per_op":100,"metrics":{"ns/op":100,"allocs/op":10}}]}`,
+	), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if err := run(base, 0, 10, nil,
+		strings.NewReader("BenchmarkX-2  3  100 ns/op  500 B/op  10 allocs/op\nPASS\n"), &out, &errOut); err != nil {
+		t.Fatalf("suffixed candidate did not match the bare baseline: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "only in") {
+		t.Fatalf("suffixed candidate reported as unmatched:\n%s", out.String())
+	}
+	err := run(base, 0, 10, nil,
+		strings.NewReader("BenchmarkX-2  3  100 ns/op  500 B/op  15 allocs/op\nPASS\n"), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkX-2") {
+		t.Fatalf("allocs regression across the suffix returned %v", err)
+	}
+}
+
 // TestReadSummaryArchiveFallback: a bare snapshot name missing from the
 // working directory resolves against results/bench/, where the repo
 // archives its BENCH_*.json files; explicit paths never fall back.

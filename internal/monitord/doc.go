@@ -25,10 +25,10 @@
 //
 // The core is deliberately synchronous and deterministic: callers feed
 // it state transitions (from netsim, from production probes, or from
-// tests) and receive the events the transition triggered. Two wrappers
-// add concurrency safety: Safe puts a mutex around a Monitor, and Loop
-// runs one behind a single-writer event loop — every operation is a
-// message to the owning goroutine, so batch ingest serializes without
-// lock contention. The HTTP serving layer (internal/server) uses Loop;
-// everyone else gets single-threaded determinism for free.
+// tests) and receive the events the transition triggered. Loop adds
+// concurrency safety: one mutex per Monitor, held for each whole
+// operation, so a batch applies atomically with respect to diagnosis and
+// snapshot reads, and a closed Loop refuses late callers with ErrClosed.
+// The HTTP serving layer (internal/server) uses Loop; everyone else gets
+// single-threaded determinism for free.
 package monitord

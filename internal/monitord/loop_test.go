@@ -10,7 +10,8 @@ import (
 	"repro/internal/bitset"
 )
 
-// newLoopLine builds a Loop over the same 5-node line as newSafeLine.
+// newLoopLine builds a Loop over a 5-node line 0-1-2-3-4 with two
+// connections: 0→2 (nodes 0,1,2) and 4→2 (nodes 2,3,4).
 func newLoopLine(t *testing.T) *Loop {
 	t.Helper()
 	paths := []*bitset.Set{
@@ -26,9 +27,8 @@ func newLoopLine(t *testing.T) *Loop {
 	return l
 }
 
-// The event loop must present the same sequential semantics as Safe: it
-// replaced Safe on the serving hot path, so this mirrors
-// TestSafeSequentialSemantics through the loop.
+// A batch, a snapshot and a diagnosis through the Loop see the same
+// sequential semantics as the bare Monitor.
 func TestLoopSequentialSemantics(t *testing.T) {
 	l := newLoopLine(t)
 	events, err := l.ReportBatch(1, []int{0, 1}, []bool{false, true})
@@ -52,6 +52,7 @@ func TestLoopSequentialSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Connection 4→2 is up, so 2, 3, 4 are healthy; 0 or 1 must have failed.
 	if got := len(diag.Consistent); got != 2 {
 		t.Fatalf("candidates = %v, want {0},{1}", diag.Consistent)
 	}
@@ -85,13 +86,30 @@ func TestLoopBadConnectionKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestLoopMismatchedBatchRejected is the regression test for the panic a
+// short ups slice used to cause: ReportBatch indexed ups[i] for every
+// conns entry, so a length mismatch crashed the daemon while holding its
+// lock. The batch must be rejected whole, before any report applies, in
+// both directions — a longer ups slice is not silently truncated.
 func TestLoopMismatchedBatchRejected(t *testing.T) {
 	l := newLoopLine(t)
-	if _, err := l.ReportBatch(1, []int{0, 1}, []bool{false}); err == nil {
-		t.Fatalf("mismatched batch accepted")
-	}
-	if l.Snapshot().InOutage {
-		t.Fatalf("rejected batch still applied a report")
+	for _, ups := range [][]bool{{false}, {false, true, false}} {
+		events, err := l.ReportBatch(1, []int{0, 1}, ups)
+		if err == nil {
+			t.Fatalf("batch with %d conns and %d ups accepted", 2, len(ups))
+		}
+		if len(events) != 0 {
+			t.Fatalf("events = %v, want none from a rejected batch", events)
+		}
+		snap := l.Snapshot()
+		if snap.InOutage {
+			t.Fatalf("rejected batch still applied a report")
+		}
+		for i, st := range snap.States {
+			if st != StateUnknown {
+				t.Fatalf("connection %d state = %v, want unknown", i, st)
+			}
+		}
 	}
 }
 
@@ -113,8 +131,8 @@ func TestLoopEmptyBatch(t *testing.T) {
 	}
 }
 
-// After Close every operation reports ErrClosed (or a zero value), the
-// goroutine is gone, and Close stays idempotent.
+// After Close every operation reports ErrClosed (or a zero value), and
+// Close stays idempotent.
 func TestLoopClosed(t *testing.T) {
 	l := newLoopLine(t)
 	if _, err := l.Report(1, 0, false); err != nil {
@@ -150,9 +168,10 @@ func TestLoopClosed(t *testing.T) {
 	}
 }
 
-// TestLoopConcurrent hammers the loop from many goroutines, with one
-// closing it midway; run with -race. Every operation must either succeed
-// or fail with ErrClosed — never panic, deadlock, or corrupt state.
+// TestLoopConcurrent hammers the loop from many goroutines, with the
+// first to finish closing it while the rest are mid-stream; run with
+// -race. Every operation must either succeed or fail with ErrClosed —
+// never panic, deadlock, or corrupt state.
 func TestLoopConcurrent(t *testing.T) {
 	l := newLoopLine(t)
 	var wg sync.WaitGroup
@@ -179,6 +198,7 @@ func TestLoopConcurrent(t *testing.T) {
 					}
 				}
 			}
+			l.Close() // idempotent: the first worker to finish closes it
 		}(w)
 	}
 	wg.Wait()

@@ -545,44 +545,44 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 		writeError(w, http.StatusBadRequest, "no reports in batch")
 		return
 	}
-	if s.wlog != nil || s.cluster != nil {
-		if s.wlog != nil && s.rejectReadOnly(w) {
+	if s.wlog != nil && s.rejectReadOnly(w) {
+		return
+	}
+	// The per-tenant lock makes dedup lookup, apply, WAL append and dedup
+	// store one step per batch, in every mode: two concurrent deliveries
+	// of the same batch_id (a client retrying after a per-attempt
+	// timeout) must not both miss the window and both apply. With a WAL
+	// it also keeps log order equal to apply order, which replay depends
+	// on; the shared read lock lets compaction capture a state that
+	// matches the log position exactly. In cluster mode the same lock is
+	// the migration fence: a migration snapshots under it, so a batch
+	// that acquires it must re-check for a handoff armed while it waited
+	// — applying after the fence would silently diverge the two nodes'
+	// states. Such a batch releases the lock, waits the migration out,
+	// and answers 307 toward the new owner (the body is already consumed,
+	// so the client re-sends it there): the batch is never applied
+	// post-fence and never dropped.
+	for {
+		t.ingestMu.Lock()
+		if s.cluster == nil {
+			break
+		}
+		h := t.currentHandoff()
+		if h == nil {
+			break
+		}
+		t.ingestMu.Unlock()
+		if !s.resolveHandoff(h, w, r, true) {
 			return
 		}
-		// Apply and append must not interleave across batches: replay
-		// re-applies in log order, so log order has to equal apply order.
-		// The per-tenant lock serializes same-tenant batches; the shared
-		// read lock lets compaction capture a state that matches the log
-		// position exactly. In cluster mode the same per-tenant lock is
-		// the migration fence: a migration snapshots under it, so a batch
-		// that acquires it must re-check for a handoff armed while it
-		// waited — applying after the fence would silently diverge the
-		// two nodes' states. Such a batch releases the lock, waits the
-		// migration out, and answers 307 toward the new owner (the body
-		// is already consumed, so the client re-sends it there): the
-		// batch is never applied post-fence and never dropped.
-		for {
-			t.ingestMu.Lock()
-			if s.cluster == nil {
-				break
-			}
-			h := t.currentHandoff()
-			if h == nil {
-				break
-			}
-			t.ingestMu.Unlock()
-			if !s.resolveHandoff(h, w, r, true) {
-				return
-			}
-		}
-		defer t.ingestMu.Unlock()
-		if s.wlog != nil {
-			s.walMu.RLock()
-			defer s.walMu.RUnlock()
-			if s.rejectReadOnly(w) {
-				// Mode may have flipped while waiting on the locks.
-				return
-			}
+	}
+	defer t.ingestMu.Unlock()
+	if s.wlog != nil {
+		s.walMu.RLock()
+		defer s.walMu.RUnlock()
+		if s.rejectReadOnly(w) {
+			// Mode may have flipped while waiting on the locks.
+			return
 		}
 	}
 	if t.dedup != nil && sc.batchID != "" {

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +64,64 @@ func TestIngestIdempotency(t *testing.T) {
 	}
 	if kinds := eventKinds(t, third); len(kinds) != 0 {
 		t.Fatalf("fresh-id redelivery produced events %v, want none", kinds)
+	}
+}
+
+// TestIngestIdempotencyConcurrent: concurrent deliveries of one batch_id
+// — what a client retrying after a per-attempt timeout sends while the
+// first attempt is still in flight — must apply exactly once and answer
+// every delivery with the same bytes, without a WAL or cluster. Rounds
+// alternate connection 0 down and up so every first apply emits events
+// a second apply would not repeat.
+func TestIngestIdempotencyConcurrent(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+
+	const senders, rounds = 8, 200
+	for round := 0; round < rounds; round++ {
+		body := fmt.Sprintf(`{"batch_id": "r-%d", "time": %d, "reports": [{"connection": 0, "up": %t}, {"connection": 1, "up": true}]}`,
+			round, round+1, round%2 == 1)
+		ingested := s.obsIngested.Value()
+		start := make(chan struct{})
+		recs := make([]*httptest.ResponseRecorder, senders)
+		var wg sync.WaitGroup
+		for i := range recs {
+			recs[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func(rec *httptest.ResponseRecorder) {
+				defer wg.Done()
+				req := httptest.NewRequest(http.MethodPost, "/v1/observations", strings.NewReader(body))
+				req.Header.Set("Content-Type", "application/json")
+				<-start
+				h.ServeHTTP(rec, req)
+			}(recs[i])
+		}
+		close(start)
+		wg.Wait()
+
+		applied := 0
+		for i, rec := range recs {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("round %d delivery %d: status %d: %s", round, i, rec.Code, rec.Body)
+			}
+			if rec.Header().Get("Placemond-Replayed") == "" {
+				applied++
+			}
+			if !bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
+				t.Fatalf("round %d: delivery %d body %q differs from delivery 0 body %q",
+					round, i, rec.Body, recs[0].Body)
+			}
+		}
+		if applied != 1 {
+			t.Fatalf("round %d: %d deliveries applied, want exactly 1", round, applied)
+		}
+		if got := s.obsIngested.Value() - ingested; got != 2 {
+			t.Fatalf("round %d: ingested %v reports, want the batch's 2 counted once", round, got)
+		}
 	}
 }
 

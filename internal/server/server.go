@@ -527,9 +527,10 @@ func (s *Server) VerifyIncremental() error {
 	return firstErr
 }
 
-// closeLoops stops every tenant's monitor event loop so scenario
-// goroutines never outlive the server. Runs after final persistence:
-// compaction still needs to export monitor state.
+// closeLoops closes every tenant's monitor so a request that outlives
+// the server fails with monitord.ErrClosed instead of mutating state
+// nobody will persist. Runs after final persistence: compaction still
+// needs to export monitor state.
 func (s *Server) closeLoops() {
 	s.tenants.Range(func(id string, t *tenant) bool {
 		t.mon.Close()

@@ -90,9 +90,13 @@ type tenant struct {
 	spliceMu sync.Mutex
 	splice   *auditSplice
 
-	// ingestMu orders a batch's apply+WAL-append pair against other
-	// batches for the same tenant (WAL mode only): replay re-applies in
-	// log order, so log order must equal apply order.
+	// ingestMu orders dedup lookup → apply → WAL append → dedup store
+	// for one batch against every other batch for the same tenant, in
+	// every mode: a duplicate batch_id must replay, never apply twice,
+	// and with a WAL replay re-applies in log order, so log order must
+	// equal apply order. It is separate from the monitor's own mutex on
+	// purpose: diagnosis, snapshot and compaction reads take only that
+	// one, so they never queue behind a WAL fsync.
 	ingestMu sync.Mutex
 
 	// Diagnosis audit ledger (WAL mode only): the retained tail of
@@ -386,10 +390,10 @@ func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 			storeErr = s.store.Delete(id)
 		}
 	}
-	// Stop the scenario's monitor event loop last: WAL compaction may
-	// still export its state while the delete record is being appended,
-	// and after Close a straggling observation fails with
-	// monitord.ErrClosed instead of landing in a deleted scenario.
+	// Close the scenario's monitor last: WAL compaction may still export
+	// its state while the delete record is being appended, and after
+	// Close a straggling observation fails with monitord.ErrClosed
+	// instead of landing in a deleted scenario.
 	t.mon.Close()
 	s.logger.Info("scenario removed", "scenario", id,
 		"drained", drained, "store_error", storeErr != nil)
