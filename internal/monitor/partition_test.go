@@ -119,10 +119,158 @@ func TestPartitionIncrementalEqualsBatch(t *testing.T) {
 		for i := 0; i < ps.Len(); i++ {
 			inc.Refine([]*bitset.Set{ps.Path(i)})
 		}
-		if batch.S1() != inc.S1() || batch.D1() != inc.D1() || batch.Coverage() != inc.Coverage() {
-			t.Fatalf("trial %d: incremental refinement diverges", trial)
+		// The index-based sparse refinement, fed in uneven batches.
+		sparse := NewPartition(n)
+		for lo := 0; lo < ps.Len(); {
+			hi := min(lo+1+rng.Intn(3), ps.Len())
+			var chunk []*bitset.Sparse
+			for i := lo; i < hi; i++ {
+				chunk = append(chunk, bitset.SparseFromSet(ps.Path(i)))
+			}
+			sparse.RefineSparse(chunk)
+			lo = hi
+		}
+		q := NewEquivalenceGraph(ps)
+		wantDeg := make([]int, n+1)
+		for v := 0; v <= n; v++ {
+			wantDeg[v] = q.Degree(v)
+		}
+		want := signatureGroups(ps)
+		for name, pt := range map[string]*Partition{"batch": batch, "incremental": inc, "sparse": sparse} {
+			if got := pt.Groups(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: Groups %v, want %v", trial, name, got, want)
+			}
+			if got := pt.Degrees(); !reflect.DeepEqual(got, wantDeg) {
+				t.Fatalf("trial %d %s: Degrees %v, want %v", trial, name, got, wantDeg)
+			}
+			if pt.S1() != q.S1() || pt.D1() != q.D1() || pt.Coverage() != batch.Coverage() {
+				t.Fatalf("trial %d %s: S1 %d D1 %d, want %d %d", trial, name, pt.S1(), pt.D1(), q.S1(), q.D1())
+			}
 		}
 	}
+}
+
+// signatureGroups is the definition Partition implements: nodes grouped
+// by the exact set of paths through them, each group sorted, groups
+// ordered by smallest member.
+func signatureGroups(ps *PathSet) [][]int {
+	byKey := map[string][]int{}
+	var keys []string
+	for v := 0; v < ps.NumNodes(); v++ {
+		key := make([]byte, ps.Len())
+		for i := range key {
+			if ps.Path(i).Contains(v) {
+				key[i] = 1
+			}
+		}
+		if _, ok := byKey[string(key)]; !ok {
+			keys = append(keys, string(key))
+		}
+		byKey[string(key)] = append(byKey[string(key)], v)
+	}
+	out := make([][]int, len(keys))
+	for i, k := range keys {
+		out[i] = byKey[k]
+	}
+	return out
+}
+
+// TestPartitionGainMatchesRefine pins the read-only gains to the
+// difference a real refinement makes, for all four statistics, on
+// random partitions with random nodes of interest. Candidate batches
+// include a repeated path and, now and then, more than 64 paths (the
+// multi-word pattern case). It also pins S1Interest and D1Interest to
+// their definitions over Groups.
+func TestPartitionGainMatchesRefine(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	randomPath := func(n int) *bitset.Sparse {
+		var nodes []int
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) == 0 {
+				nodes = append(nodes, v)
+			}
+		}
+		if len(nodes) == 0 {
+			nodes = append(nodes, rng.Intn(n))
+		}
+		return bitset.SparseFromNodes(n, nodes)
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(24)
+		var interest []int
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				interest = append(interest, v)
+			}
+		}
+		pt := NewPartitionOfInterest(n, bitset.FromIndices(n, interest...))
+		for i := rng.Intn(4); i > 0; i-- {
+			pt.RefineSparse([]*bitset.Sparse{randomPath(n)})
+		}
+		for c := 0; c < 5; c++ {
+			var cand []*bitset.Sparse
+			size := 1 + rng.Intn(4)
+			if rng.Intn(6) == 0 {
+				size = 65 + rng.Intn(10)
+			}
+			for len(cand) < size {
+				cand = append(cand, randomPath(n))
+			}
+			if rng.Intn(3) == 0 {
+				cand = append(cand, cand[rng.Intn(len(cand))])
+			}
+			after := pt.Clone()
+			after.RefineSparse(cand)
+			if got, want := pt.GainS1Sparse(cand), after.S1()-pt.S1(); got != want {
+				t.Fatalf("trial %d: GainS1 %d, want %d", trial, got, want)
+			}
+			if got, want := pt.GainD1Sparse(cand), after.D1()-pt.D1(); got != want {
+				t.Fatalf("trial %d: GainD1 %d, want %d", trial, got, want)
+			}
+			if got, want := pt.GainS1InterestSparse(cand), after.S1Interest()-pt.S1Interest(); got != want {
+				t.Fatalf("trial %d: GainS1Interest %d, want %d", trial, got, want)
+			}
+			if got, want := pt.GainD1InterestSparse(cand), after.D1Interest()-pt.D1Interest(); got != want {
+				t.Fatalf("trial %d: GainD1Interest %d, want %d", trial, got, want)
+			}
+			for _, p := range []*Partition{pt, after} {
+				s1, d1 := interestStats(p, bitset.FromIndices(n, interest...))
+				if p.S1Interest() != s1 || p.D1Interest() != d1 {
+					t.Fatalf("trial %d: S1Interest %d D1Interest %d, want %d %d",
+						trial, p.S1Interest(), p.D1Interest(), s1, d1)
+				}
+			}
+		}
+	}
+}
+
+// interestStats computes S1Interest and D1Interest from their
+// definitions over the class listing.
+func interestStats(pt *Partition, interest *bitset.Set) (int, int64) {
+	pairs := func(n int64) int64 {
+		if n < 2 {
+			return 0
+		}
+		return n * (n - 1) / 2
+	}
+	n, i := int64(pt.NumNodes()), int64(interest.Count())
+	s1, d1 := 0, pairs(n+1)-pairs(n+1-i)
+	for _, g := range pt.Groups() {
+		size, in := int64(len(g)), int64(0)
+		for _, v := range g {
+			if interest.Contains(v) {
+				in++
+			}
+		}
+		if len(g) == 1 && in == 1 && pt.Covered(g[0]) {
+			s1++
+		}
+		if !pt.Covered(g[0]) {
+			size++
+		}
+		d1 -= pairs(size) - pairs(size-in)
+	}
+	return s1, d1
 }
 
 func TestPartitionCloneIndependent(t *testing.T) {
@@ -139,7 +287,7 @@ func TestPartitionCloneIndependent(t *testing.T) {
 }
 
 func TestPartitionManyPathsStringKeys(t *testing.T) {
-	// Refining with > 64 paths at once exercises the string-key fallback.
+	// Refining with > 64 paths at once exercises multi-word patterns.
 	n := 80
 	paths := make([]*bitset.Set, 70)
 	for i := range paths {

@@ -67,36 +67,32 @@ func GreedyCtx(ctx context.Context, inst *Instance, obj Objective, progress Prog
 		roundStart := time.Now()
 		evalsBefore := res.Evaluations
 		candidates := 0
-		bestS, bestH, bestVal := -1, -1, -1.0
-		var bestEval evaluator
+		best, bestVal := -1, -1.0
 		for s := 0; s < inst.NumServices(); s++ {
 			if placed[s] {
 				continue
 			}
-			for i := range inst.candidates[s] {
-				el := &inst.elements[inst.elemIndex[s][i]]
-				trial := base.Clone()
-				trial.Add(el.evalPaths)
+			for _, e := range inst.elemIndex[s] {
 				res.Evaluations++
 				candidates++
-				if v := trial.Value(); v > bestVal {
-					bestS, bestH, bestVal, bestEval = s, el.host, v, trial
+				// f(P ∪ P(C_s, h)), exact: values are integers below 2⁵³.
+				if v := baseVal + base.Gain(inst.elements[e].evalPaths); v > bestVal {
+					best, bestVal = e, v
 				}
 			}
 		}
-		if bestS < 0 {
+		if best < 0 {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
-		// The winning trial already holds base ∪ P(C_s, h): adopt it as
-		// the new base instead of re-refining the old one.
-		base = bestEval
-		placed[bestS] = true
-		res.Placement.Hosts[bestS] = bestH
-		res.Order = append(res.Order, bestS)
+		el := &inst.elements[best]
+		base.Add(el.evalPaths)
+		placed[el.service] = true
+		res.Placement.Hosts[el.service] = el.host
+		res.Order = append(res.Order, el.service)
 		progress.emit(Round{
 			Index:       iter,
-			Service:     bestS,
-			Host:        bestH,
+			Service:     el.service,
+			Host:        el.host,
 			Gain:        bestVal - baseVal,
 			Candidates:  candidates,
 			Evaluations: res.Evaluations - evalsBefore,

@@ -61,6 +61,7 @@ func GreedyCapacitated(inst *Instance, obj Objective, cons CapacityConstraints) 
 
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
 	base := obj.newEvaluator(inst.NumNodes())
+	baseVal := base.Value()
 	placed := make([]bool, inst.NumServices())
 	residual := map[graph.NodeID]float64{}
 	for h, r := range cons.Capacity {
@@ -86,10 +87,8 @@ func GreedyCapacitated(inst *Instance, obj Objective, cons CapacityConstraints) 
 				if err != nil {
 					return nil, err
 				}
-				trial := base.Clone()
-				trial.Add(paths)
 				res.Evaluations++
-				if v := trial.Value(); v > bestVal {
+				if v := baseVal + base.Gain(paths); v > bestVal {
 					bestS, bestH, bestVal = s, h, v
 				}
 			}
@@ -102,6 +101,7 @@ func GreedyCapacitated(inst *Instance, obj Objective, cons CapacityConstraints) 
 			return nil, err
 		}
 		base.Add(paths)
+		baseVal = bestVal
 		placed[bestS] = true
 		if _, limited := residual[bestH]; limited {
 			residual[bestH] -= cons.Demand[bestS]

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
@@ -21,43 +20,76 @@ import (
 // identical to Greedy's, including the deterministic tie-break.
 
 // lazyEntry is one heap slot: a ground element (service, host) with the
-// cached marginal gain and the round it was computed in. eval retains the
-// trial evaluator of a per-round recomputation so that, when the entry
-// wins the round, its state is adopted as the new base instead of
-// re-adding the chosen paths.
+// cached marginal gain and the round it was computed in.
 type lazyEntry struct {
 	elem  int
 	gain  float64
 	round int
-	eval  evaluator
 }
 
 // lazyHeap orders entries by gain descending, then ground-element index
 // ascending. Element indices are assigned in (service, candidate-position)
 // scan order, so the secondary key reproduces Greedy's first-maximum
-// tie-break (smaller service index, then smaller host ID) exactly.
+// tie-break (smaller service index, then smaller host ID) exactly. It is
+// a binary heap over the typed slice rather than a container/heap
+// implementation: boxing each entry into an interface cost an
+// allocation per push and per pop, more than the Gain evaluation the
+// entry caches.
 type lazyHeap []lazyEntry
 
-func (h lazyHeap) Len() int { return len(h) }
-
-func (h lazyHeap) Less(i, j int) bool {
+func (h lazyHeap) less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
 	}
 	return h[i].elem < h[j].elem
 }
 
-func (h lazyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h lazyHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
-func (h *lazyHeap) Push(x any) { *h = append(*h, x.(lazyEntry)) }
+func (h *lazyHeap) push(e lazyEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
 
-func (h *lazyHeap) Pop() any {
+func (h *lazyHeap) pop() lazyEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = lazyEntry{} // release the retained evaluator, if any
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old[:n].down(0)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h lazyHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h lazyHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // GreedyLazy runs Algorithm 2 with CELF-style lazy evaluation: identical
@@ -158,25 +190,12 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 	placed := make([]bool, inst.NumServices())
 
 	// refresh recomputes the current-round marginal gain of each entry,
-	// fanning out across workers when the batch is large enough. Each
-	// recomputation is one objective evaluation, counted exactly as in
-	// Greedy. retain keeps the trial evaluator on the entry for adoption;
-	// the initial sweep drops it so at most O(recomputations) evaluator
-	// clones are ever live, not O(ground set).
-	refresh := func(ents []lazyEntry, round int, retain bool) {
-		one := func(e *lazyEntry) {
-			trial := base.Clone()
-			trial.Add(inst.elements[e.elem].evalPaths)
-			e.gain = trial.Value() - baseVal
-			e.round = round
-			if retain {
-				e.eval = trial
-			}
-		}
+	// fanning out across workers when the batch is large enough (Gain is
+	// read-only, so the workers share base). Each recomputation is one
+	// objective evaluation, counted exactly as in Greedy.
+	refresh := func(ents []lazyEntry, round int) {
 		if workers <= 1 || len(ents) == 1 {
-			for i := range ents {
-				one(&ents[i])
-			}
+			scoreEntries(inst, base, ents, round)
 		} else {
 			var wg sync.WaitGroup
 			chunk := (len(ents) + workers - 1) / workers
@@ -186,12 +205,10 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 					hi = len(ents)
 				}
 				wg.Add(1)
-				go func(lo, hi int) {
+				go func(part []lazyEntry) {
 					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						one(&ents[i])
-					}
-				}(lo, hi)
+					scoreEntries(inst, base, part, round)
+				}(ents[lo:hi])
 			}
 			wg.Wait()
 		}
@@ -206,7 +223,7 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 		for e := range inst.elements {
 			h[e] = lazyEntry{elem: e}
 		}
-		refresh(h, 0, false)
+		refresh(h, 0)
 	} else {
 		if len(seeds) != len(inst.elements) {
 			return nil, fmt.Errorf("placement: %d warm-start seeds for %d ground elements", len(seeds), len(inst.elements))
@@ -214,7 +231,7 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 		h = lazyHeap(seeds)
 		res.Evaluations += preEvals
 	}
-	heap.Init(&h)
+	h.init()
 
 	var batch []lazyEntry
 	for iter := 0; iter < inst.NumServices(); iter++ {
@@ -230,18 +247,18 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 		}
 		pops := 0
 		chosen, found := lazyEntry{}, false
-		for h.Len() > 0 || len(batch) > 0 {
-			if h.Len() == 0 {
+		for len(h) > 0 || len(batch) > 0 {
+			if len(h) == 0 {
 				// The heap drained into the pending batch (the remaining
 				// entries were all retired): flush and keep going.
-				refresh(batch, iter, true)
+				refresh(batch, iter)
 				for _, e := range batch {
-					heap.Push(&h, e)
+					h.push(e)
 				}
 				batch = batch[:0]
 				continue
 			}
-			top := heap.Pop(&h).(lazyEntry)
+			top := h.pop()
 			pops++
 			if placed[inst.elements[top.elem].service] {
 				continue // service already placed; retire the entry
@@ -256,21 +273,20 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 				break
 			}
 			if top.round != iter {
-				top.eval = nil
 				batch = append(batch, top)
 				// Sequentially the batch flushes after every entry; in
 				// parallel mode consecutive stale tops share one fan-out.
-				if len(batch) < workers && h.Len() > 0 {
+				if len(batch) < workers && len(h) > 0 {
 					continue
 				}
 			} else {
 				// Fresh, but entries batched before it had cached gains
 				// above its: refresh them before deciding the round.
-				heap.Push(&h, top)
+				h.push(top)
 			}
-			refresh(batch, iter, true)
+			refresh(batch, iter)
 			for _, e := range batch {
-				heap.Push(&h, e)
+				h.push(e)
 			}
 			batch = batch[:0]
 		}
@@ -278,13 +294,7 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
 		el := &inst.elements[chosen.elem]
-		if chosen.eval != nil {
-			// The winning trial already holds base ∪ P(C_s, h): adopt it
-			// instead of re-refining the old base with the chosen paths.
-			base = chosen.eval
-		} else {
-			base.Add(el.evalPaths)
-		}
+		base.Add(el.evalPaths)
 		prevVal := baseVal
 		baseVal = base.Value()
 		placed[el.service] = true
@@ -302,4 +312,15 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 	}
 	res.Value = baseVal
 	return res, nil
+}
+
+// scoreEntries sets each entry's gain to its marginal gain over base,
+// stamped with round. A plain function rather than a closure, so that
+// the sequential refresh, called once per stale heap top, allocates
+// nothing.
+func scoreEntries(inst *Instance, base evaluator, ents []lazyEntry, round int) {
+	for i := range ents {
+		ents[i].gain = base.Gain(inst.elements[ents[i].elem].evalPaths)
+		ents[i].round = round
+	}
 }

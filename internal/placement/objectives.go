@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/monitor"
@@ -28,15 +29,19 @@ type Objective interface {
 }
 
 // evaluator incrementally tracks the objective value of a growing path
-// set. Add is destructive; use Clone to branch for hypothetical
-// evaluations (line 4 of Algorithm 2). A clone is fully independent of
-// its origin, so an algorithm may adopt a trial evaluator as its new
-// running state — Greedy and GreedyLazy keep the winning trial of each
-// round instead of re-adding the chosen paths. Paths arrive in the
-// sparse representation the instance stores; evaluators whose internal
-// structure is dense convert at the boundary.
+// set. Add is destructive; Gain is its read-only counterpart: it returns
+// exactly the float64 that cloning, adding paths and subtracting Value
+// would (every objective is integer-valued below 2⁵³, so the difference
+// is exact), without touching the evaluator, and it is safe to call
+// from many goroutines at once on one evaluator. The greedy engines
+// score candidates with Gain and fold each round's winner in with one
+// Add; Clone remains for search trees that need a full independent
+// branch (BranchAndBound). Paths arrive in the sparse representation
+// the instance stores; evaluators whose internal structure is dense
+// convert at the boundary.
 type evaluator interface {
 	Add(paths []*bitset.Sparse)
+	Gain(paths []*bitset.Sparse) float64
 	Clone() evaluator
 	Value() float64
 }
@@ -89,6 +94,27 @@ func (e *coverageEval) Add(paths []*bitset.Sparse) {
 	}
 }
 
+// Gain counts the nodes (of interest) on paths that are not yet
+// covered, each once however many paths share it.
+func (e *coverageEval) Gain(paths []*bitset.Sparse) float64 {
+	seen := markers.Get().(*bitset.Marker)
+	defer markers.Put(seen)
+	seen.Reset(e.covered.Cap())
+	gain := 0
+	for _, p := range paths {
+		p.ForEach(func(v int) bool {
+			if !e.covered.Contains(v) && (e.interest == nil || e.interest.Contains(v)) && seen.Mark(v) {
+				gain++
+			}
+			return true
+		})
+	}
+	return float64(gain)
+}
+
+// markers pools coverage gain scratch, one Marker per concurrent Gain.
+var markers = sync.Pool{New: func() any { return new(bitset.Marker) }}
+
 func (e *coverageEval) Clone() evaluator {
 	return &coverageEval{covered: e.covered.Clone(), interest: e.interest}
 }
@@ -102,9 +128,20 @@ func (e *coverageEval) Value() float64 {
 
 // ---- Identifiability (MISP) and Distinguishability (MDSP), k = 1 ------
 
+// partitionStat names which k = 1 statistic of the equivalence-class
+// partition an objective maximizes.
+type partitionStat int
+
+const (
+	statS1 partitionStat = iota
+	statD1
+	statS1Interest
+	statD1Interest
+)
+
 type partitionObjective struct {
 	name         string
-	value        func(pt *monitor.Partition, interest *bitset.Set) float64
+	stat         partitionStat
 	interest     *bitset.Set
 	isSubmodular bool
 }
@@ -116,26 +153,45 @@ func (o partitionObjective) K() int { return 1 }
 func (o partitionObjective) submodular() bool { return o.isSubmodular }
 
 func (o partitionObjective) newEvaluator(numNodes int) evaluator {
-	return &partitionEval{
-		pt:       monitor.NewPartition(numNodes),
-		value:    o.value,
-		interest: o.interest,
-	}
+	return &partitionEval{pt: monitor.NewPartitionOfInterest(numNodes, o.interest), stat: o.stat}
 }
 
 type partitionEval struct {
-	pt       *monitor.Partition
-	value    func(pt *monitor.Partition, interest *bitset.Set) float64
-	interest *bitset.Set
+	pt   *monitor.Partition
+	stat partitionStat
 }
 
 func (e *partitionEval) Add(paths []*bitset.Sparse) { e.pt.RefineSparse(paths) }
 
-func (e *partitionEval) Clone() evaluator {
-	return &partitionEval{pt: e.pt.Clone(), value: e.value, interest: e.interest}
+func (e *partitionEval) Gain(paths []*bitset.Sparse) float64 {
+	switch e.stat {
+	case statS1:
+		return float64(e.pt.GainS1Sparse(paths))
+	case statD1:
+		return float64(e.pt.GainD1Sparse(paths))
+	case statS1Interest:
+		return float64(e.pt.GainS1InterestSparse(paths))
+	default:
+		return float64(e.pt.GainD1InterestSparse(paths))
+	}
 }
 
-func (e *partitionEval) Value() float64 { return e.value(e.pt, e.interest) }
+func (e *partitionEval) Clone() evaluator {
+	return &partitionEval{pt: e.pt.Clone(), stat: e.stat}
+}
+
+func (e *partitionEval) Value() float64 {
+	switch e.stat {
+	case statS1:
+		return float64(e.pt.S1())
+	case statD1:
+		return float64(e.pt.D1())
+	case statS1Interest:
+		return float64(e.pt.S1Interest())
+	default:
+		return float64(e.pt.D1Interest())
+	}
+}
 
 // NewIdentifiability returns the |S_k(P)| objective. k = 1 uses the
 // incremental equivalence-class structure (Section V-D1); k > 1 falls back
@@ -146,13 +202,7 @@ func NewIdentifiability(k int) (Objective, error) {
 	case k < 1:
 		return nil, fmt.Errorf("placement: identifiability requires k ≥ 1, got %d", k)
 	case k == 1:
-		return partitionObjective{
-			name:         "identifiability-1",
-			isSubmodular: false,
-			value: func(pt *monitor.Partition, interest *bitset.Set) float64 {
-				return float64(pt.S1())
-			},
-		}, nil
+		return partitionObjective{name: "identifiability-1", stat: statS1}, nil
 	default:
 		return enumerationObjective{name: fmt.Sprintf("identifiability-%d", k), k: k, kind: kindIdentifiability}, nil
 	}
@@ -166,13 +216,7 @@ func NewDistinguishability(k int) (Objective, error) {
 	case k < 1:
 		return nil, fmt.Errorf("placement: distinguishability requires k ≥ 1, got %d", k)
 	case k == 1:
-		return partitionObjective{
-			name:         "distinguishability-1",
-			isSubmodular: true,
-			value: func(pt *monitor.Partition, interest *bitset.Set) float64 {
-				return float64(pt.D1())
-			},
-		}, nil
+		return partitionObjective{name: "distinguishability-1", stat: statD1, isSubmodular: true}, nil
 	default:
 		return enumerationObjective{name: fmt.Sprintf("distinguishability-%d", k), k: k, kind: kindDistinguishability}, nil
 	}
@@ -180,22 +224,10 @@ func NewDistinguishability(k int) (Objective, error) {
 
 // NewIdentifiabilityOfInterest returns |S_1(P) ∩ N_I| (Section VII-B).
 func NewIdentifiabilityOfInterest(numNodes int, interest []int) Objective {
-	set := bitset.FromIndices(numNodes, interest...)
 	return partitionObjective{
-		name:         "identifiability-1-interest",
-		interest:     set,
-		isSubmodular: false,
-		value: func(pt *monitor.Partition, interest *bitset.Set) float64 {
-			count := 0
-			for _, g := range pt.Groups() {
-				// 1-identifiable = alone in its class and covered (an
-				// uncovered singleton still collides with v0).
-				if len(g) == 1 && interest.Contains(g[0]) && pt.Covered(g[0]) {
-					count++
-				}
-			}
-			return float64(count)
-		},
+		name:     "identifiability-1-interest",
+		stat:     statS1Interest,
+		interest: bitset.FromIndices(numNodes, interest...),
 	}
 }
 
@@ -203,50 +235,12 @@ func NewIdentifiabilityOfInterest(numNodes int, interest []int) Objective {
 // distinguishability at k = 1: the number of distinguishable hypothesis
 // pairs {F, F'} with F a single-node failure of an interest node.
 func NewDistinguishabilityOfInterest(numNodes int, interest []int) Objective {
-	set := bitset.FromIndices(numNodes, interest...)
 	return partitionObjective{
 		name:         "distinguishability-1-interest",
-		interest:     set,
+		stat:         statD1Interest,
+		interest:     bitset.FromIndices(numNodes, interest...),
 		isSubmodular: true,
-		value: func(pt *monitor.Partition, interest *bitset.Set) float64 {
-			return float64(interestD1(pt, interest))
-		},
 	}
-}
-
-// interestD1 counts unordered hypothesis pairs with at least one member in
-// the interest set that are distinguishable. Hypotheses are the |N|+1
-// single-failure cases (v0 excluded from interest).
-func interestD1(pt *monitor.Partition, interest *bitset.Set) int64 {
-	n := int64(pt.NumNodes())
-	i := int64(interest.Count())
-	// Total pairs with ≥1 interesting member among n+1 hypotheses.
-	totalPairs := pairs(n+1) - pairs(n+1-i)
-	// Indistinguishable such pairs, class by class. v0 joins the class of
-	// uncovered nodes (it shares their empty signature) but is itself never
-	// a node of interest.
-	var indist int64
-	for _, g := range pt.Groups() {
-		size := int64(len(g))
-		var ing int64
-		for _, v := range g {
-			if interest.Contains(v) {
-				ing++
-			}
-		}
-		if !pt.Covered(g[0]) {
-			size++
-		}
-		indist += pairs(size) - pairs(size-ing)
-	}
-	return totalPairs - indist
-}
-
-func pairs(n int64) int64 {
-	if n < 2 {
-		return 0
-	}
-	return n * (n - 1) / 2
 }
 
 // ---- General k ≥ 2 by enumeration --------------------------------------
@@ -295,6 +289,14 @@ func (e *enumerationEval) Add(paths []*bitset.Sparse) {
 		// validated at construction; failure here is a programming error.
 		panic(fmt.Sprintf("placement: %v", err))
 	}
+}
+
+// Gain is the reference clone-add-value: enumeration runs only at k ≥ 2
+// on small networks, where a full re-enumeration dominates the clone.
+func (e *enumerationEval) Gain(paths []*bitset.Sparse) float64 {
+	trial := e.Clone()
+	trial.Add(paths)
+	return trial.Value() - e.Value()
 }
 
 func (e *enumerationEval) Clone() evaluator {

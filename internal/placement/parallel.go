@@ -41,7 +41,7 @@ func GreedyParallelCtx(ctx context.Context, inst *Instance, obj Objective, worke
 	}
 	type verdict struct {
 		candidate
-		value float64
+		gain float64
 	}
 
 	for iter := 0; iter < inst.NumServices(); iter++ {
@@ -78,9 +78,7 @@ func GreedyParallelCtx(ctx context.Context, inst *Instance, obj Objective, worke
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
 					c := work[i]
-					trial := base.Clone()
-					trial.Add(inst.elements[c.elem].evalPaths)
-					verdicts[i] = verdict{candidate: c, value: trial.Value()}
+					verdicts[i] = verdict{candidate: c, gain: base.Gain(inst.elements[c.elem].evalPaths)}
 				}
 			}(lo, hi)
 		}
@@ -88,11 +86,13 @@ func GreedyParallelCtx(ctx context.Context, inst *Instance, obj Objective, worke
 
 		bestIdx := -1
 		for i, v := range verdicts {
-			if bestIdx < 0 || v.value > verdicts[bestIdx].value {
+			if bestIdx < 0 || v.gain > verdicts[bestIdx].gain {
 				bestIdx = i
 			}
-			// work is generated in (service, host) order, so the first
-			// maximum already respects the sequential tie-break.
+			// Every candidate shares the base, so the largest gain is the
+			// largest value; work is generated in (service, host) order,
+			// so the first maximum already respects the sequential
+			// tie-break.
 		}
 		res.Evaluations += len(work)
 

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -122,30 +121,27 @@ func GreedyStochasticCtx(ctx context.Context, inst *Instance, obj Objective, eps
 		for _, e := range remaining[:s] {
 			h = append(h, lazyEntry{elem: e, gain: bounds[e], round: -1})
 		}
-		heap.Init(&h)
+		h.init()
 		pops := 0
 		chosen, found := lazyEntry{}, false
-		for h.Len() > 0 {
-			top := heap.Pop(&h).(lazyEntry)
+		for len(h) > 0 {
+			top := h.pop()
 			pops++
 			if top.round == iter {
 				chosen, found = top, true
 				break
 			}
-			trial := base.Clone()
-			trial.Add(inst.elements[top.elem].evalPaths)
-			gain := trial.Value() - baseVal
+			gain := base.Gain(inst.elements[top.elem].evalPaths)
 			res.Evaluations++
 			bounds[top.elem] = gain
-			heap.Push(&h, lazyEntry{elem: top.elem, gain: gain, round: iter, eval: trial})
+			h.push(lazyEntry{elem: top.elem, gain: gain, round: iter})
 		}
 		if !found {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
 
 		el := &inst.elements[chosen.elem]
-		// The winning trial already holds base ∪ P(C_s, h): adopt it.
-		base = chosen.eval
+		base.Add(el.evalPaths)
 		prevVal := baseVal
 		baseVal = base.Value()
 		placed[el.service] = true

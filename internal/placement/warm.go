@@ -141,11 +141,8 @@ func (w *WarmPlacer) Place(ctx context.Context, inst *Instance, obj Objective, w
 	// the cold engine's initial sweep.
 	if len(misses) > 0 {
 		base := obj.newEvaluator(inst.NumNodes())
-		emptyVal := base.Value()
 		one := func(e int) {
-			trial := base.Clone()
-			trial.Add(inst.elements[e].evalPaths)
-			seeds[e] = lazyEntry{elem: e, gain: trial.Value() - emptyVal, round: 0}
+			seeds[e] = lazyEntry{elem: e, gain: base.Gain(inst.elements[e].evalPaths), round: 0}
 		}
 		if workers <= 1 || len(misses) == 1 {
 			for _, e := range misses {

@@ -12,12 +12,15 @@ import (
 
 // ReviseFunc produces a revised scenario document from the stored one
 // plus a network-change request body (the facade owns both formats, like
-// BuildFunc's spec). It must be pure with respect to the server: the
-// returned document, fed back through BuildScenario, is the scenario's
-// new monitoring state. A warm-start reviser may keep placement caches
-// keyed by scenario ID — the server calls it at most once per accepted
-// PUT /v1/scenarios/{id}/network.
-type ReviseFunc func(id string, spec, change []byte) ([]byte, error)
+// BuildFunc's spec), together with the monitoring state that document
+// describes. The reviser has already built the new network to re-place
+// the services, so handing the state back saves the live path a second
+// build. It must be pure with respect to the server: the returned
+// document, fed back through BuildScenario (as WAL replay and boot do),
+// must build a tenant equivalent to the returned one. A warm-start
+// reviser may keep placement caches keyed by scenario ID — the server
+// calls it at most once per accepted PUT /v1/scenarios/{id}/network.
+type ReviseFunc func(id string, spec, change []byte) ([]byte, *TenantConfig, error)
 
 // errScenarioBusy marks a network replacement refused because the
 // scenario is mid-drain or mid-replacement; the HTTP layer answers 409.
@@ -101,11 +104,7 @@ func (s *Server) replaceNetwork(old *tenant, change []byte) (*tenant, error) {
 	if old.spec == nil {
 		return nil, fmt.Errorf("%w: scenario %q was built from boot flags, not a stored document", ErrBadSpec, old.id)
 	}
-	newSpec, err := s.revise(old.id, old.spec, change)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	tc, err := s.build(old.id, newSpec)
+	newSpec, tc, err := s.revise(old.id, old.spec, change)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

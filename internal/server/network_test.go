@@ -13,17 +13,14 @@ import (
 )
 
 // testRevise is the ReviseFunc tests install: the change body IS the
-// revised document (a testSpec), validated the way a real reviser
-// validates a NetworkChange.
-func testRevise(id string, spec, change []byte) ([]byte, error) {
-	var next testSpec
-	if err := json.Unmarshal(change, &next); err != nil {
-		return nil, err
+// revised document (a testSpec), and the tenant is what testBuild makes
+// of it — the pairing a real reviser must keep.
+func testRevise(id string, spec, change []byte) ([]byte, *TenantConfig, error) {
+	tc, err := testBuild(id, change)
+	if err != nil {
+		return nil, nil, err
 	}
-	if next.NumNodes <= 0 {
-		return nil, fmt.Errorf("num_nodes must be positive")
-	}
-	return change, nil
+	return change, tc, nil
 }
 
 // networkConfig is scenarioConfig plus network replacement and the

@@ -36,7 +36,10 @@ const reviserCacheCap = 64
 
 // newNetworkReviser returns the server.ReviseFunc the facade installs —
 // stored scenario document plus NetworkChange body in, fully revised
-// document out — together with a prewarm function that charges the same
+// document and its monitoring state out, the latter built on the network
+// and instance the re-placement already constructed (buildScenario on
+// the document builds an equivalent one, which is what WAL replay and
+// boot do) — together with a prewarm function that charges the same
 // per-scenario gain cache from a scenario document alone. Re-placement
 // runs the warm-start engine with that cache, so successive revisions of
 // a large scenario only re-evaluate candidates whose measurement paths
@@ -77,42 +80,51 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		}
 		_, _, _ = placerFor(id).Place(context.Background(), inst, obj, 0, nil)
 	}
-	revise := func(id string, spec, change []byte) ([]byte, error) {
+	revise := func(id string, spec, change []byte) ([]byte, *server.TenantConfig, error) {
 		sp, err := ParseScenarioSpec(spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var ch NetworkChange
 		dec := json.NewDecoder(bytes.NewReader(change))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&ch); err != nil {
-			return nil, fmt.Errorf("placemon: decode network change: %w", err)
+			return nil, nil, fmt.Errorf("placemon: decode network change: %w", err)
 		}
 		if ch.Topology == "" && ch.Nodes <= 0 {
-			return nil, fmt.Errorf("placemon: network change names no network (topology or nodes/edges)")
+			return nil, nil, fmt.Errorf("placemon: network change names no network (topology or nodes/edges)")
 		}
 		revised := sp
 		revised.Topology, revised.Nodes, revised.Edges = ch.Topology, ch.Nodes, ch.Edges
 		revised.Placement.Topology = ch.Topology
+		// The revised document must parse back as it stands: replay
+		// rebuilds the scenario from it.
+		if err := revised.validate(); err != nil {
+			return nil, nil, err
+		}
 		nw, err := revised.Network()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inst, obj, err := nw.prepare(revised.Placement.ToServices(),
 			PlaceConfig{Alpha: revised.Placement.Alpha})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res, _, err := placerFor(id).Place(context.Background(), inst, obj, 0, nil)
 		if err != nil {
-			return nil, fmt.Errorf("placemon: re-place scenario %s: %w", id, err)
+			return nil, nil, fmt.Errorf("placemon: re-place scenario %s: %w", id, err)
 		}
 		revised.Placement.Hosts = append([]int(nil), res.Placement.Hosts...)
+		tc, err := revised.tenant(nw, inst)
+		if err != nil {
+			return nil, nil, err
+		}
 		out, err := json.Marshal(revised)
 		if err != nil {
-			return nil, fmt.Errorf("placemon: encode revised scenario spec: %w", err)
+			return nil, nil, fmt.Errorf("placemon: encode revised scenario spec: %w", err)
 		}
-		return out, nil
+		return out, tc, nil
 	}
 	return revise, prewarm
 }

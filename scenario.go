@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/placement"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -82,23 +83,27 @@ func ParseScenarioSpec(raw []byte) (ScenarioSpec, error) {
 	if err := dec.Decode(&sp); err != nil {
 		return sp, fmt.Errorf("placemon: decode scenario spec: %w", err)
 	}
+	return sp, sp.validate()
+}
+
+// validate is the structural half of ParseScenarioSpec, for specs built
+// in memory rather than decoded.
+func (sp ScenarioSpec) validate() error {
 	if sp.Nodes < 0 {
-		return sp, fmt.Errorf("placemon: scenario spec: negative node count %d", sp.Nodes)
+		return fmt.Errorf("placemon: scenario spec: negative node count %d", sp.Nodes)
 	}
 	if sp.K < 0 {
-		return sp, fmt.Errorf("placemon: scenario spec: negative failure budget %d", sp.K)
+		return fmt.Errorf("placemon: scenario spec: negative failure budget %d", sp.K)
 	}
 	// Round-trip the placement through its own loader so a scenario spec
 	// cannot smuggle in a document SavePlacement/LoadPlacement would
 	// reject.
 	var buf bytes.Buffer
 	if err := SavePlacement(&buf, sp.Placement); err != nil {
-		return sp, err
+		return err
 	}
-	if _, err := LoadPlacement(&buf); err != nil {
-		return sp, err
-	}
-	return sp, nil
+	_, err := LoadPlacement(&buf)
+	return err
 }
 
 // buildScenario is the server.BuildFunc the facade installs: document in,
@@ -114,7 +119,14 @@ func buildScenario(id string, raw []byte) (*server.TenantConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths, conns, _, err := buildMonitoring(nw, sp.Placement)
+	return sp.tenant(nw, nil)
+}
+
+// tenant builds the scenario's monitoring state on nw, its network.
+// inst, when non-nil, must be prepared on nw for the placement's
+// services at its alpha; it saves preparing another.
+func (sp ScenarioSpec) tenant(nw *Network, inst *placement.Instance) (*server.TenantConfig, error) {
+	paths, conns, _, err := buildMonitoring(nw, sp.Placement, inst)
 	if err != nil {
 		return nil, err
 	}

@@ -128,8 +128,10 @@ type Server struct {
 // placed service, in the same order Network.Observe reports them. Shared
 // by NewServer (the default tenant) and buildScenario (every other
 // tenant), so a scenario built from a document monitors exactly what the
-// single-scenario daemon would.
-func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns []server.Connection, public []Connection, err error) {
+// single-scenario daemon would. inst, when non-nil, is an instance
+// already prepared on nw for doc's services at doc.Alpha (the network
+// reviser has one); nil prepares a fresh one.
+func buildMonitoring(nw *Network, doc PlacementFile, inst *placement.Instance) (paths []*bitset.Set, conns []server.Connection, public []Connection, err error) {
 	services := doc.ToServices()
 	if len(doc.Hosts) != len(services) {
 		return nil, nil, nil, fmt.Errorf("placemon: %d hosts for %d services", len(doc.Hosts), len(services))
@@ -137,9 +139,10 @@ func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns
 	if err := doc.Validate(nw); err != nil {
 		return nil, nil, nil, err
 	}
-	inst, _, err := nw.prepare(services, PlaceConfig{Alpha: doc.Alpha})
-	if err != nil {
-		return nil, nil, nil, err
+	if inst == nil {
+		if inst, _, err = nw.prepare(services, PlaceConfig{Alpha: doc.Alpha}); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	for s, h := range doc.Hosts {
 		if h == placement.Unplaced {
@@ -170,7 +173,7 @@ func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns
 // scenarios may be added dynamically (see AddScenario and the
 // /v1/scenarios API).
 func NewServer(nw *Network, doc PlacementFile, cfg ServerConfig) (*Server, error) {
-	paths, conns, public, err := buildMonitoring(nw, doc)
+	paths, conns, public, err := buildMonitoring(nw, doc, nil)
 	if err != nil {
 		return nil, err
 	}
